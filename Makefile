@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench bench-json bench-compare bench-smoke trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke contract-check
+.PHONY: check build vet lint test race bench bench-json bench-compare bench-smoke trace-smoke fault-smoke telemetry-smoke snapshot-smoke fuzz-smoke contract-check noxperf-smoke
 
 ## check: the CI gate — build, vet, static analysis, the full test suite
 ## under the race detector (the parallel experiment engine makes this
-## mandatory), the event-horizon contract tests, the tracing,
-## fault-injection (transient and permanent), batched-execution, live
-## telemetry, and checkpoint/restore smoke tests, a short fuzz pass over
-## the user-facing decoders, and a soft benchmark-regression check against
-## the newest committed snapshot.
-check: build vet lint race contract-check trace-smoke fault-smoke fault-perm-smoke batch-smoke telemetry-smoke snapshot-smoke fuzz-smoke bench-compare
+## mandatory; it includes the permanent-fault degradation determinism test
+## in cmd/noxfault), the event-horizon contract tests, the tracing,
+## transient fault-injection, live telemetry, and checkpoint/restore smoke
+## tests, a short fuzz pass over the user-facing decoders, the noxperf
+## benchmark's own tests, and a soft benchmark-regression check against the
+## newest committed snapshot.
+check: build vet lint race contract-check trace-smoke fault-smoke telemetry-smoke snapshot-smoke fuzz-smoke noxperf-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -125,40 +126,6 @@ fault-smoke:
 	{ ! grep -q UNDETECTED "$$tmp/serial.txt" || { echo "fault-smoke: campaign left faults undetected" >&2; cat "$$tmp/serial.txt" >&2; exit 1; }; } && \
 	echo "fault-smoke: OK"
 
-## fault-perm-smoke: the permanent-fault degradation sweep on every
-## architecture under the race detector — a mid-run link kill with
-## end-to-end retransmission armed — run serial, sharded, and batched, with
-## all three reports required byte-identical: the standing proof that hard
-## faults, reconfiguration epochs, and retransmission are deterministic
-## across every execution mode. Also fails on any UNDETECTED cell: every
-## loss under a permanent fault must be accounted (delivered or retired
-## undeliverable) with zero violations.
-fault-perm-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run -race ./cmd/noxfault -arch all -width 4 -height 4 -degrade 2 -kill 400 \
-		-cycles 800 -load 0.04 -drain 10000 -watchdog 3000 -seed 0xF001 -shards 1 -out "$$tmp/serial.txt" && \
-	$(GO) run -race ./cmd/noxfault -arch all -width 4 -height 4 -degrade 2 -kill 400 \
-		-cycles 800 -load 0.04 -drain 10000 -watchdog 3000 -seed 0xF001 -shards 4 -out "$$tmp/sharded.txt" && \
-	$(GO) run -race ./cmd/noxfault -arch all -width 4 -height 4 -degrade 2 -kill 400 \
-		-cycles 800 -load 0.04 -drain 10000 -watchdog 3000 -seed 0xF001 -batch -1 -out "$$tmp/batched.txt" && \
-	cmp "$$tmp/serial.txt" "$$tmp/sharded.txt" && cmp "$$tmp/serial.txt" "$$tmp/batched.txt" && \
-	{ ! grep -q UNDETECTED "$$tmp/serial.txt" || { echo "fault-perm-smoke: unaccounted loss under permanent faults" >&2; cat "$$tmp/serial.txt" >&2; exit 1; }; } && \
-	echo "fault-perm-smoke: OK"
-
-## batch-smoke: run a small sweep under the race detector, once serial and
-## once through the batched lockstep kernel, and require the two CSVs to be
-## byte-identical — the standing proof that cohort execution (shared route
-## tables, slabs, flit pools, the bit-sliced/dense lockstep walks) changes
-## wall-clock time only, never results.
-batch-smoke:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run -race ./cmd/noxsweep -fast -pattern uniform -csv -parallel 1 \
-		> "$$tmp/serial.csv" && \
-	$(GO) run -race ./cmd/noxsweep -fast -pattern uniform -csv -parallel 1 -batch -1 \
-		> "$$tmp/batched.csv" && \
-	cmp "$$tmp/serial.csv" "$$tmp/batched.csv" && \
-	echo "batch-smoke: OK"
-
 ## telemetry-smoke: boot noxsim with the live telemetry server on an
 ## ephemeral port, curl the endpoint surface (/metrics, /healthz,
 ## /debug/vars, /debug/pprof/) while the simulation runs, and validate the
@@ -210,6 +177,13 @@ snapshot-smoke:
 		-restore "$$tmp/warm" > "$$tmp/cached.csv" && \
 	cmp "$$tmp/warmed.csv" "$$tmp/cached.csv" && \
 	echo "snapshot-smoke: OK"
+
+## noxperf-smoke: the end-to-end benchmark's own tests. noxperf is a
+## separate module, so `go test ./...` at the root never reaches it; this
+## runs its tiny-scale workloads and checks their output digests against
+## the pins in noxperf/digests.txt.
+noxperf-smoke:
+	cd noxperf && $(GO) test ./...
 
 ## fuzz-smoke: a short native-fuzz pass over the user-facing decoders
 ## (noxtrace -validate, noxbench snapshot JSON, the binary snapshot image

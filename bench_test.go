@@ -8,11 +8,9 @@ package noxnet
 // numbers so a bench run doubles as a smoke reproduction.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/network"
@@ -237,8 +235,12 @@ func BenchmarkNetworkCycleSteady(b *testing.B) {
 // counts. shards=1 is the serial kernel; on a multicore host wall-clock
 // drops as shards rise (on one CPU all counts run within noise, since the
 // pool never dispatches in parallel). Results are bit-identical across the
-// row; only the wall clock moves.
+// row; only the wall clock moves. Construction (including the memoized
+// route-table build) and a warm-up at the benchmark's own offered load run
+// before the timer starts, so every timed cycle is a steady-state loaded
+// cycle at constant offered load.
 func BenchmarkNetworkCycleLarge(b *testing.B) {
+	const warmup = 200
 	for _, side := range []int{16, 32} {
 		for _, shards := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("NoX-%dx%d/shards=%d", side, side, shards), func(b *testing.B) {
@@ -252,8 +254,7 @@ func BenchmarkNetworkCycleLarge(b *testing.B) {
 				cores := net.Cores()
 				// Load proportional to mesh size so per-cycle work scales.
 				perCycle := cores / 16
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
+				cycle := func() {
 					for j := 0; j < perCycle; j++ {
 						src := noc.NodeID(rng.Intn(cores))
 						dst := noc.NodeID(rng.Intn(cores))
@@ -262,6 +263,14 @@ func BenchmarkNetworkCycleLarge(b *testing.B) {
 						}
 					}
 					net.Step()
+				}
+				for i := 0; i < warmup; i++ {
+					cycle()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cycle()
 				}
 			})
 		}
@@ -343,64 +352,6 @@ func BenchmarkNetworkCycleSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedSweep measures many-seed experiment throughput: N
-// complete synthetic points (8x8 NoX, light uniform load, N distinct
-// seeds) run to completion, comparing the per-point worker-pool engine
-// (each simulation alone on a pool worker) against the batched lockstep
-// kernel (cohorts of the default width, shared construction,
-// density-adaptive stepping: member-major lane walks while traffic flows,
-// bit-sliced column skips through drain tails). Outputs are byte-identical
-// on both paths; divide ns/op by N for per-simulation cost.
-func BenchmarkBatchedSweep(b *testing.B) {
-	mkCfgs := func(n int) []harness.SyntheticConfig {
-		cfgs := make([]harness.SyntheticConfig, n)
-		for i := range cfgs {
-			cfgs[i] = harness.SyntheticConfig{
-				Arch: router.NoX, Pattern: "uniform", RateMBps: 900,
-				WarmupCycles: 200, MeasureCycles: 600, DrainCycles: 4000,
-				Seed: 0xA11CE + uint64(i)*101, Shards: 1,
-			}
-		}
-		return cfgs
-	}
-	for _, n := range []int{1, 8, 64} {
-		cfgs := mkCfgs(n)
-		b.Run(fmt.Sprintf("pool/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, err := exp.Map(context.Background(), benchPool, len(cfgs),
-					func(_ context.Context, j int) (harness.RunResult, error) {
-						return harness.RunSynthetic(cfgs[j])
-					})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(out) != n {
-					b.Fatal("short result set")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("batched/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				done := 0
-				for _, span := range batch.Chunks(len(cfgs), 0) {
-					res, errs := harness.RunSyntheticCohort(cfgs[span[0]:span[1]])
-					for _, err := range errs {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					done += len(res)
-				}
-				if done != n {
-					b.Fatal("short result set")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkWarmStartSweep measures the checkpoint/fork payoff on a
 // warm-up-dominated sweep, the shape the low rungs of the Figure 8 ladder
 // have: cold re-runs the 3000-cycle warm phase for every (arch, rate)
@@ -442,48 +393,6 @@ func BenchmarkWarmStartSweep(b *testing.B) {
 	})
 	if coldCSV != "" && warmCSV != "" && coldCSV != warmCSV {
 		b.Fatal("warm-start sweep CSV diverged from the cold sweep")
-	}
-}
-
-// BenchmarkBatchedStepSteady isolates the steady-state lockstep stepping
-// cost: an N-member NoX cohort is built, loaded with long wormhole
-// traffic, and warmed before ResetTimer, so the timed region is pure
-// batched datapath — saturated members take the member-major dense walk,
-// member arenas recycle flits carved from the shared block pool. Divide
-// ns/op by N for the per-simulation cycle cost; allocs/op must read 0.
-func BenchmarkBatchedStepSteady(b *testing.B) {
-	for _, n := range []int{8, 64} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			c, err := batch.New(n, func(int) network.Config {
-				return network.Config{Arch: router.NoX, Shards: 1}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			for m := 0; m < n; m++ {
-				net := c.Net(m)
-				rng := sim.NewRNG(uint64(m) + 1)
-				topo := net.Topology()
-				for node := 0; node < topo.Nodes(); node++ {
-					for k := 0; k < 4; k++ {
-						dst := noc.NodeID(rng.Intn(topo.Nodes()))
-						if dst != noc.NodeID(node) {
-							net.Inject(noc.NodeID(node), dst, 64, 0)
-						}
-					}
-				}
-			}
-			// Warm the arenas and reach a flowing steady state.
-			for i := 0; i < 200; i++ {
-				c.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Step()
-			}
-		})
 	}
 }
 

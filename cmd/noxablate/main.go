@@ -30,7 +30,6 @@ func main() {
 		rate     = flag.Float64("rate", 2000, "offered uniform load (MB/s/node)")
 		parallel = flag.Int("parallel", 0, "worker count for ablation points (0 = all CPUs, 1 = serial; output is identical)")
 		shards   = flag.Int("shards", 0, "intra-simulation worker shards (0 = auto, 1 = serial; output is identical)")
-		batch    = flag.Int("batch", 0, "lockstep cohort width: step up to this many ablation cells together on shared state (0 = off, -1 = default width; output is identical)")
 	)
 	tf := telemetry.AddFlags(flag.CommandLine)
 	prof := probe.AddProfileFlags(flag.CommandLine)
@@ -56,50 +55,23 @@ func main() {
 	}
 
 	archs := []router.Arch{router.SpecAccurate, router.NoX}
-	width := *batch
-	if width < 0 {
-		width = 0 // batch.DefaultWidth
-	}
 
 	if *study == "buffers" || *study == "all" {
 		depths := []int{2, 3, 4, 6, 8}
-		var pts []harness.AblationPoint
-		if *batch != 0 {
-			pts, err = harness.AblateBufferDepthBatched(depths, *rate, archs, width, pool, *shards)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "noxablate:", err)
-				os.Exit(1)
-			}
-		} else {
-			pts = harness.AblateBufferDepth(depths, *rate, archs, pool, *shards)
-		}
+		pts := harness.AblateBufferDepth(depths, *rate, archs, pool, *shards)
 		fmt.Print(harness.FormatAblation(
 			fmt.Sprintf("Ablation: input buffer depth (uniform @ %.0f MB/s/node; Table 1 uses 4)", *rate), pts))
 		fmt.Println()
 	}
 	if *study == "arbiter" || *study == "all" {
-		var pts []harness.AblationPoint
-		if *batch != 0 {
-			pts, err = harness.AblateArbiterBatched(*rate, archs, width, pool, *shards)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "noxablate:", err)
-				os.Exit(1)
-			}
-		} else {
-			pts = harness.AblateArbiter(*rate, archs, pool, *shards)
-		}
+		pts := harness.AblateArbiter(*rate, archs, pool, *shards)
 		fmt.Print(harness.FormatAblation(
 			fmt.Sprintf("Ablation: output arbiter (uniform @ %.0f MB/s/node)", *rate), pts))
 		fmt.Println()
 	}
 	if *study == "xorcost" || *study == "all" {
 		factors := []float64{1.0, 1.03, 1.06, 1.12, 1.25}
-		var rel map[float64]float64
-		if *batch != 0 {
-			rel, err = harness.AblateXORCostBatched(factors, *rate, *shards)
-		} else {
-			rel, err = harness.AblateXORCost(factors, *rate, pool, *shards)
-		}
+		rel, err := harness.AblateXORCost(factors, *rate, pool, *shards)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "noxablate:", err)
 			os.Exit(1)

@@ -77,7 +77,7 @@ func compareSnapshots(oldSnap, newSnap Snapshot, threshold float64, floorNs floa
 		// informational); both are skipped when either side did not measure
 		// them (ReportAllocs not called; recorded as -1).
 		switch {
-		case ob.BytesPerOp < 0 || nb.BytesPerOp < 0:
+		case ob.BytesPerOp < 0 || nb.BytesPerOp < 0 || ob.AllocsPerOp < 0 || nb.AllocsPerOp < 0:
 			res.Lines = append(res.Lines, "         alloc: not measured on both sides, skipped")
 		default:
 			allocMark := ""

@@ -5,8 +5,8 @@
 // traffic over the survivors with end-to-end retransmission armed, and
 // reports sustained throughput, latency, and a full loss accounting per
 // fault count. Like the campaign mode, the sweep is a pure function of its
-// seed: the report is byte-identical across -parallel, -shards, and -batch
-// settings, and replayable from the printed link sequence alone.
+// seed: the report is byte-identical across -parallel and -shards settings,
+// and replayable from the printed link sequence alone.
 package main
 
 import (
@@ -16,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/batch"
 	"repro/internal/check"
 	"repro/internal/exp"
 	"repro/internal/fault"
@@ -150,10 +149,10 @@ func (c *dcell) attachLatency(net *network.Network) {
 	}
 }
 
-// finishDegradeCell drains and classifies one degradation cell — the shared
-// epilogue of the serial and lockstep paths. A cell is ok when the run ends
-// with zero violations and every injected packet either delivered or
-// retired as undeliverable; anything else is an UNDETECTED accounting hole.
+// finishDegradeCell drains and classifies one degradation cell. A cell is
+// ok when the run ends with zero violations and every injected packet
+// either delivered or retired as undeliverable; anything else is an
+// UNDETECTED accounting hole.
 func finishDegradeCell(c *dcell, net *network.Network, ck *check.Checker, p params) {
 	defer func() {
 		c.injected, c.delivered = ck.Injected(), ck.Delivered()
@@ -186,7 +185,7 @@ func finishDegradeCell(c *dcell, net *network.Network, ck *check.Checker, p para
 	}
 }
 
-// runDegradeCell executes one cell serially.
+// runDegradeCell executes one cell.
 func runDegradeCell(arch router.Arch, f int, seq [][2]noc.NodeID, killAt int64, rt network.RetransmitConfig, p params) (c dcell) {
 	c.arch, c.failed = arch, f
 	spec := degradeSpec(seq, f, killAt, p.template.Seed)
@@ -211,60 +210,10 @@ func runDegradeCell(arch router.Arch, f int, seq [][2]noc.NodeID, killAt int64, 
 	return c
 }
 
-// runDegradeCohort executes cells [lo, hi) of the flat (arch, fault-count)
-// grid as one lockstep cohort, mirroring runCohortCells: shared traffic
-// window, then individual drains. ok=false sends the caller to the serial
-// fallback.
-func runDegradeCohort(archs []router.Arch, points int, seq [][2]noc.NodeID, killAt int64, rt network.RetransmitConfig, p params, lo, hi int) (cells []dcell, ok bool) {
-	n := hi - lo
-	cells = make([]dcell, n)
-	cks := make([]*check.Checker, n)
-	specs := make([]fault.Spec, n)
-	for j := 0; j < n; j++ {
-		i := lo + j
-		cells[j].arch, cells[j].failed = archs[i/points], i%points
-		specs[j] = degradeSpec(seq, cells[j].failed, killAt, p.template.Seed)
-		cks[j] = check.New(check.All())
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			ok = false
-		}
-	}()
-	co, err := batch.New(n, func(j int) network.Config {
-		return network.Config{
-			Topo: p.topo, Arch: cells[j].arch, BufferDepth: p.bufferDepth,
-			Shards: p.shards, Check: cks[j], Fault: fault.NewInjector(specs[j]), Retransmit: &rt,
-		}
-	})
-	if err != nil {
-		panic(err.Error())
-	}
-	defer co.Close()
-	trs := make([]degradeTraffic, n)
-	for j := 0; j < n; j++ {
-		cells[j].attachLatency(co.Net(j))
-		trs[j] = newDegradeTraffic(co.Net(j).Cores(), p.load, specs[j].Seed)
-	}
-	for cyc := int64(0); cyc < p.cycles; cyc++ {
-		for j := 0; j < n; j++ {
-			trs[j].injectCycle(co.Net(j), p.multi)
-		}
-		co.Step()
-	}
-	co.Release()
-	for j := 0; j < n; j++ {
-		finishDegradeCell(&cells[j], co.Net(j), cks[j], p)
-	}
-	return cells, true
-}
-
-// runDegradeMode runs the full sweep and writes the report (and CSV).
-func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK int, killAt, rtimeout int64, retries, parallel, batchW int, outPath, csvPath string) error {
+// runDegradeMode runs the full sweep and writes the report (and CSV). Its
+// arguments must have passed validate.
+func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK int, killAt, rtimeout int64, retries int, pool *exp.Pool, outPath, csvPath string) error {
 	seq := degradeLinks(p.topo, p.template.Seed)
-	if degradeK > len(seq) {
-		return fmt.Errorf("-degrade %d exceeds the mesh's %d inter-router links", degradeK, len(seq))
-	}
 	rt := network.RetransmitConfig{Timeout: rtimeout, Retries: retries}
 	if rt.Timeout <= 0 {
 		rt.Timeout = int64(4*(p.topo.Width+p.topo.Height) + 64)
@@ -272,43 +221,12 @@ func runDegradeMode(stdout io.Writer, archs []router.Arch, p params, degradeK in
 
 	points := degradeK + 1 // fault counts 0..K per architecture
 	total := len(archs) * points
-	pool := exp.NewPool(parallel)
-	var cells []dcell
-	var err error
-	if batchW != 0 {
-		w := batchW
-		if w < 0 {
-			w = 0 // batch.DefaultWidth
-		}
-		spans := batch.Chunks(total, w)
-		couts, merr := exp.Map(context.Background(), pool, len(spans),
-			func(_ context.Context, si int) ([]dcell, error) {
-				lo, hi := spans[si][0], spans[si][1]
-				if cs, ok := runDegradeCohort(archs, points, seq, killAt, rt, p, lo, hi); ok {
-					return cs, nil
-				}
-				cs := make([]dcell, hi-lo)
-				for j := range cs {
-					i := lo + j
-					cs[j] = runDegradeCell(archs[i/points], i%points, seq, killAt, rt, p)
-				}
-				return cs, nil
-			})
-		if merr != nil {
-			return merr
-		}
-		cells = make([]dcell, 0, total)
-		for _, cs := range couts {
-			cells = append(cells, cs...)
-		}
-	} else {
-		cells, err = exp.Map(context.Background(), pool, total,
-			func(_ context.Context, i int) (dcell, error) {
-				return runDegradeCell(archs[i/points], i%points, seq, killAt, rt, p), nil
-			})
-		if err != nil {
-			return err
-		}
+	cells, err := exp.Map(context.Background(), pool, total,
+		func(_ context.Context, i int) (dcell, error) {
+			return runDegradeCell(archs[i/points], i%points, seq, killAt, rt, p), nil
+		})
+	if err != nil {
+		return err
 	}
 
 	var sb strings.Builder

@@ -95,26 +95,17 @@ func AblateBufferDepth(depths []int, rateMBps float64, archs []router.Arch, pool
 	return out
 }
 
-// arbiterKind names one output-arbiter choice for the arbiter ablation.
-type arbiterKind struct {
-	name string
-	mk   func(int) arbiter.Arbiter
-}
-
-// arbiterKinds lists the compared arbiters — shared by the serial and
-// batched arbiter ablations so both produce the same cells.
-func arbiterKinds() []arbiterKind {
-	return []arbiterKind{
-		{"roundrobin", nil},
-		{"matrix", func(n int) arbiter.Arbiter { return arbiter.NewMatrix(n) }},
-	}
-}
-
 // AblateArbiter compares round-robin against matrix (least recently
 // served) output arbiters at a fixed uniform load. The NoX decode order
 // follows grant order, so the arbiter choice is visible end to end.
 func AblateArbiter(rateMBps float64, archs []router.Arch, pool *exp.Pool, shards int) []AblationPoint {
-	kinds := arbiterKinds()
+	kinds := []struct {
+		name string
+		mk   func(int) arbiter.Arbiter
+	}{
+		{"roundrobin", nil},
+		{"matrix", func(n int) arbiter.Arbiter { return arbiter.NewMatrix(n) }},
+	}
 	out, _ := exp.Map(context.Background(), pool, len(kinds)*len(archs),
 		func(_ context.Context, i int) (AblationPoint, error) {
 			k := kinds[i/len(archs)]
@@ -143,13 +134,7 @@ func AblateXORCost(factors []float64, rateMBps float64, pool *exp.Pool, shards i
 	if err != nil {
 		return nil, err
 	}
-	return xorCostTable(factors, runs[0], runs[1]), nil
-}
-
-// xorCostTable computes the Spec-Accurate/NoX power ratio at each XOR
-// premium factor from the two finished runs — shared by the serial and
-// batched XOR-cost ablations.
-func xorCostTable(factors []float64, sa, nox RunResult) map[float64]float64 {
+	sa, nox := runs[0], runs[1]
 	out := map[float64]float64{}
 	m := power.DefaultModel()
 	for _, f := range factors {
@@ -161,7 +146,7 @@ func xorCostTable(factors []float64, sa, nox RunResult) map[float64]float64 {
 		noxMW := e.TotalPJ() / (4000 * physical.ClockPeriodNs(router.NoX))
 		out[f] = sa.PowerMW / noxMW
 	}
-	return out
+	return out, nil
 }
 
 // FormatAblation renders ablation points grouped by label.

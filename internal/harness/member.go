@@ -18,12 +18,11 @@ import (
 )
 
 // synthMember is the per-run state of one synthetic-traffic simulation,
-// factored out of RunSynthetic so the serial path and the batched lockstep
-// path (RunSyntheticCohort) execute the same per-cycle code. Byte-identical
-// batched output is a structural property here, not a re-implementation
-// kept in sync by tests alone: both paths call the same prepare / attach /
-// injectCycle / enterDrain / needsDrainStep / finalize sequence, and differ
-// only in who advances the network clock between calls.
+// factored out of RunSynthetic so the cold run, warm-start resumption,
+// checkpoint/restore, and time-travel replay execute the same per-cycle
+// code: each calls the same prepare / attach / injectCycle / enterDrain /
+// needsDrainStep / finalize sequence, and they differ only in where the
+// network and run state come from.
 type synthMember struct {
 	cfg         SyntheticConfig // filled
 	periodNs    float64
@@ -65,9 +64,8 @@ type synthMember struct {
 }
 
 // prepareSynthetic validates and fills cfg and resolves its traffic
-// pattern. The network is built separately (standalone via network.Build,
-// or by a batch cohort overlaying shared construction state) and handed to
-// attach.
+// pattern. The network is built separately (via network.Build, or decoded
+// from a snapshot image) and handed to attach.
 func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	cfg.fill()
 	m := &synthMember{cfg: cfg}
@@ -97,10 +95,10 @@ func prepareSynthetic(cfg SyntheticConfig) (*synthMember, error) {
 	m.total = cfg.WarmupCycles + cfg.MeasureCycles
 
 	// Arm the flight recorder. The factory path builds one per run with a
-	// deterministic label, so sweep workers and cohort members each record
-	// into their own ring and dump to their own files. An explicit full
-	// Probe claims the network's probe slot, so recording is skipped — the
-	// user already has the complete event stream.
+	// deterministic label, so sweep workers each record into their own
+	// ring and dump to their own files. An explicit full Probe claims the
+	// network's probe slot, so recording is skipped — the user already has
+	// the complete event stream.
 	if m.cfg.Recorder == nil && m.cfg.NewRecorder != nil && m.cfg.Probe == nil {
 		m.cfg.Recorder = m.cfg.NewRecorder(fmt.Sprintf("%s-%s-%.0fMBps", m.cfg.Arch, m.cfg.Pattern, m.cfg.RateMBps))
 	}
@@ -122,7 +120,7 @@ func (m *synthMember) netConfig() network.Config {
 		obs = m.cfg.Progress.Observe
 	}
 	return network.Config{Topo: m.cfg.Topo, Arch: m.cfg.Arch, BufferDepth: m.cfg.BufferDepth,
-		NewArbiter: m.cfg.NewArbiter, Probe: pr, Shards: m.cfg.Shards, Check: m.cfg.Check,
+		Probe: pr, Shards: m.cfg.Shards, Check: m.cfg.Check,
 		AlwaysActive: m.cfg.AlwaysActive, Observer: obs}
 }
 

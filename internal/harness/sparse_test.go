@@ -96,42 +96,6 @@ func TestSparseEquivalenceSerialSharded(t *testing.T) {
 	}
 }
 
-// TestSparseEquivalenceBatched pins the batched lockstep kernel at cohort
-// widths 1 and 8 against the eager serial sweep over the same sparse
-// rates: same points, same RunResults, same rendered CSV.
-func TestSparseEquivalenceBatched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sparse batched equivalence is slow")
-	}
-	base := sparseCfg("uniform", 0)
-
-	ref := base
-	ref.Eager = true
-	ref.AlwaysActive = true
-	cold, err := SweepSynthetic(ref, sparseRates, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCSV := SweepCSV("uniform", cold)
-	wantDump := fmt.Sprintf("%+v", cold)
-
-	for _, width := range []int{1, 8} {
-		width := width
-		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
-			pts, _, err := SweepSyntheticBatched(base, sparseRates, width, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := SweepCSV("uniform", pts); got != wantCSV {
-				t.Errorf("batched sparse sweep CSV diverged from eager\ngot:\n%s\nwant:\n%s", got, wantCSV)
-			}
-			if got := fmt.Sprintf("%+v", pts); got != wantDump {
-				t.Errorf("batched sparse results diverged from eager\ngot: %.400s\nwant: %.400s", got, wantDump)
-			}
-		})
-	}
-}
-
 // TestSparseEquivalenceBursty covers the time-varying source the uniform
 // matrix cannot: Pareto-burst (self-similar) traffic alternates dense
 // bursts with long quiescent gaps, crossing the park/wake edge and the

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/arbiter"
 	"repro/internal/check"
 	"repro/internal/exp"
 	"repro/internal/network"
@@ -54,8 +53,8 @@ type SyntheticConfig struct {
 	Recorder *telemetry.Recorder
 	// NewRecorder, when set and Recorder/Probe are nil, builds the run's
 	// flight recorder from a deterministic per-run label — the factory the
-	// cmd tools thread through sweeps and cohorts so every member records
-	// into its own ring. A factory returning nil disarms recording.
+	// cmd tools thread through sweeps so every run records into its own
+	// ring. A factory returning nil disarms recording.
 	NewRecorder func(label string) *telemetry.Recorder
 	// Shards selects the simulation execution mode (see network.Config):
 	// 0 = automatic crossover, 1 = serial, N >= 2 = sharded worker pool.
@@ -65,20 +64,16 @@ type SyntheticConfig struct {
 	// (see internal/check); the post-drain conservation sweep and delivery
 	// oracle run before the result is returned. Nil costs nothing.
 	Check *check.Checker
-	// NewArbiter overrides the output-arbiter constructor (see
-	// network.Config.NewArbiter); nil keeps the default round-robin. Used by
-	// the arbiter ablation.
-	NewArbiter func(int) arbiter.Arbiter
 	// WarmRateMBps, when positive, is the warm-up injection rate: sources
 	// run at it for the warmup window and are retargeted to RateMBps at the
 	// measurement boundary (RNG streams and burst state preserved). This is
 	// what makes the warm phase rate-independent, so warm-start sweeps can
 	// share it; a cold run with the same WarmRateMBps executes identically.
 	WarmRateMBps float64
-	// WarmStart switches SweepSynthetic/SweepSyntheticBatched to warm-start
-	// mode: warm once per architecture at WarmRateMBps (required), then
-	// resume every rate point from a copy of the warm state. Output is
-	// byte-identical to the cold sweep with the same WarmRateMBps.
+	// WarmStart switches SweepSynthetic to warm-start mode: warm once per
+	// architecture at WarmRateMBps (required), then resume every rate point
+	// from a copy of the warm state. Output is byte-identical to the cold
+	// sweep with the same WarmRateMBps.
 	WarmStart bool
 	// WarmSaveDir, when set in warm-start mode, persists each freshly
 	// computed per-architecture warm image into the directory (atomic write;
@@ -153,9 +148,8 @@ var ErrRateInfeasible = errors.New("offered rate exceeds injection capacity")
 // returns its latency, throughput, and energy results.
 //
 // The run itself lives in synthMember (member.go): RunSynthetic is the
-// standalone driver — build one network, step it between the member's
-// per-cycle hooks — and RunSyntheticCohort (batched.go) is the lockstep
-// driver over the same hooks.
+// standalone driver: build one network, step it between the member's
+// per-cycle hooks.
 func RunSynthetic(cfg SyntheticConfig) (RunResult, error) {
 	m, err := prepareSynthetic(cfg)
 	if err != nil {
@@ -253,8 +247,8 @@ type pointOutcome struct {
 // rate-major grid of speculative outcomes: include results up to and
 // including the first saturated point; an infeasible point ends the
 // series; a real error is remembered at the point the serial loop would
-// have hit it. Shared by the parallel and batched sweep paths so both
-// reproduce sweepSerial's output bit for bit.
+// have hit it. The parallel sweep path uses it to reproduce sweepSerial's
+// output bit for bit.
 func assembleSweep(rates []float64, archs []router.Arch, outs []pointOutcome) ([]SweepPoint, error) {
 	lastRate := 0 // index of the last SweepPoint the serial loop would append
 	includeEnd := make([]int, len(archs))

@@ -21,8 +21,8 @@ import (
 
 // TestWarmStartSweepMatchesCold is the warm-start contract: a sweep that
 // warms once per architecture and forks every rate point from the copy must
-// render exactly the CSV the cold sweep renders — serial, speculative
-// parallel, and batched at widths 1 and 8.
+// render exactly the CSV the cold sweep renders, serial and speculative
+// parallel.
 func TestWarmStartSweepMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warm-start equivalence sweep is slow")
@@ -46,14 +46,6 @@ func TestWarmStartSweepMatchesCold(t *testing.T) {
 	}{
 		{"serial", func() ([]SweepPoint, error) { return SweepSynthetic(warm, rates, nil) }},
 		{"parallel", func() ([]SweepPoint, error) { return SweepSynthetic(warm, rates, exp.NewPool(4)) }},
-		{"batched-width1", func() ([]SweepPoint, error) {
-			pts, _, err := SweepSyntheticBatched(warm, rates, 1, nil)
-			return pts, err
-		}},
-		{"batched-width8", func() ([]SweepPoint, error) {
-			pts, _, err := SweepSyntheticBatched(warm, rates, 8, exp.NewPool(2))
-			return pts, err
-		}},
 	}
 	for _, tc := range runs {
 		pts, err := tc.run()
@@ -69,16 +61,12 @@ func TestWarmStartSweepMatchesCold(t *testing.T) {
 	}
 }
 
-// TestWarmStartRequiresRate pins the misconfiguration error on both sweep
-// engines.
+// TestWarmStartRequiresRate pins the misconfiguration error.
 func TestWarmStartRequiresRate(t *testing.T) {
 	base := fastCfg("uniform", 0)
 	base.WarmStart = true
 	if _, err := SweepSynthetic(base, []float64{600}, nil); err != ErrWarmRate {
 		t.Errorf("SweepSynthetic: err = %v, want ErrWarmRate", err)
-	}
-	if _, _, err := SweepSyntheticBatched(base, []float64{600}, 4, nil); err != ErrWarmRate {
-		t.Errorf("SweepSyntheticBatched: err = %v, want ErrWarmRate", err)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // retransmission when armed), restores all channel credits, and retires
 // packets whose destinations the damage partitioned away as undeliverable.
 // The whole epoch runs atomically between two cycles on the stepping
-// goroutine, so serial, sharded, and batched execution see byte-identical
+// goroutine, so serial and sharded execution see byte-identical
 // degradation.
 
 // HardFaulter extends FaultInjector with the permanent-fault surface the

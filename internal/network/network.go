@@ -73,17 +73,6 @@ type Config struct {
 	// and packets that exhaust the budget are retired as undeliverable.
 	// Nil costs a single pointer test on the hot path.
 	Retransmit *RetransmitConfig
-	// Slabs, when non-nil, is a shared construction allocator: a batched
-	// cohort threads one through every member so N same-shape networks carve
-	// their router state from common chunks (see internal/batch). Nil builds
-	// a private allocator — identical layout, one skeleton per network.
-	// Construction-time, single-goroutine use only.
-	Slabs *router.Slabs
-	// FlitBlocks, when non-nil, is a shared backing store for the network's
-	// flit arenas, so a cohort's members draw blocks from common slabs.
-	// Serial execution only: sharded networks grow their shard arenas on
-	// worker goroutines and ignore this field.
-	FlitBlocks *noc.BlockPool
 	// Oracle arms the kernel's event-horizon contract oracle: every component
 	// is evaluated eagerly every cycle, and any component the quiescence or
 	// horizon rules would have parked is state-hashed around its evaluation —
@@ -345,15 +334,8 @@ func New(cfg Config) *Network {
 	n.ejectLinks = make([]*noc.Link, cores)
 
 	// One batch allocator for every router: their ports, FIFOs, scratch
-	// vectors, and arbiters are carved from shared chunks (one allocator per
-	// network, or one per cohort when the caller shares it via cfg.Slabs).
-	slabs := cfg.Slabs
-	if slabs == nil {
-		slabs = router.NewSlabs()
-	}
-	if cfg.FlitBlocks != nil && !sharded {
-		n.arenas[0].SetBlocks(cfg.FlitBlocks)
-	}
+	// vectors, and arbiters are carved from shared chunks.
+	slabs := router.NewSlabs()
 	for id := 0; id < routers; id++ {
 		n.routers[id] = router.New(router.Config{
 			Arch:        cfg.Arch,
@@ -688,10 +670,9 @@ func (n *Network) Routes() *routing.Table { return n.routes }
 // Cycle returns the current cycle number.
 func (n *Network) Cycle() int64 { return n.kernel.Cycle() }
 
-// Kernel exposes the network's simulation kernel for lockstep adoption by
-// internal/batch (sim.NewLockstepGroup takes the member kernels). Treat it
-// as opaque everywhere else: stepping or mutating it directly bypasses the
-// network's own sequencing.
+// Kernel exposes the network's simulation kernel for read-only inspection
+// (active-component counts and the like). Stepping or mutating it directly
+// bypasses the network's own sequencing.
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
 
 // Step advances the network one cycle.

@@ -21,9 +21,9 @@ import (
 // opened in InjectPacket, acks armed in the network's deliver (serial
 // commit walk or sharded epilogue, both interface-ordered), and timeouts
 // processed by an end-of-cycle observer popping a deterministic
-// (cycle, packet-ID) min-heap. Serial, sharded, and batched execution
-// therefore retransmit identically, byte for byte. With Retransmit nil the
-// hot path pays a single pointer test.
+// (cycle, packet-ID) min-heap. Serial and sharded execution therefore
+// retransmit identically, byte for byte. With Retransmit nil the hot path
+// pays a single pointer test.
 
 // RetransmitConfig arms end-to-end retransmission at the network interfaces.
 type RetransmitConfig struct {

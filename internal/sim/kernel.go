@@ -84,9 +84,7 @@ type Kernel struct {
 	// on the serial path only (nil once sharded). The invariant is one-sided:
 	// every component with a raised flag has its bit set, but a bit may be
 	// stale (component went quiet without clearing it) — the sparse walk
-	// prunes stale bits lazily as it visits them. nil also while adopted by
-	// a LockstepGroup in the bit-sliced representation (the group's words
-	// are authoritative there; ensureFlags re-establishes the invariant).
+	// prunes stale bits lazily as it visits them.
 	actWords []uint64
 	// wheel holds pending timed wake-ups for components that parked with a
 	// finite horizon. Allocated lazily when the first Horizoned component
@@ -133,13 +131,6 @@ type Kernel struct {
 
 	// sh is the sharded execution state, nil on the serial path.
 	sh *sharding
-
-	// group/slot bind an adopted kernel to its LockstepGroup (see batch.go):
-	// the group owns this kernel's activity flags (transposed into shared
-	// bit words) and its stepping; Wake is redirected, Step panics. Nil when
-	// not adopted — the universal case outside batched execution.
-	group *LockstepGroup
-	slot  int
 
 	// lanes are the typed dense-iteration segments of the serial step,
 	// sorted by start handle (see BindLane). Empty means all-generic walks.
@@ -189,9 +180,6 @@ func (k *Kernel) AddLate(c Clocked) Handle {
 func (k *Kernel) add(c Clocked) Handle {
 	if k.sh != nil {
 		panic("sim: Add after SetSharding")
-	}
-	if k.group != nil {
-		panic("sim: Add on a kernel adopted by a LockstepGroup")
 	}
 	h := Handle(len(k.components))
 	k.components = append(k.components, c)
@@ -267,10 +255,6 @@ func (k *Kernel) resetWheels() {
 // races the owner shard's own quiescence bookkeeping for the same
 // component.
 func (k *Kernel) Wake(h Handle) {
-	if g := k.group; g != nil {
-		g.wake(k.slot, h)
-		return
-	}
 	if sh := k.sh; sh != nil {
 		sh.wake(k, h)
 		return
@@ -408,15 +392,10 @@ func (k *Kernel) SetCycle(c int64) {
 // reconstructing the saved activity set: over-waking is unobservable (the
 // quiescence fast path is proven bit-exact against always-active evaluation,
 // so evaluating a quiet component changes nothing), and the true set
-// re-converges within a cycle. Works in every execution mode — serial,
-// sharded, and adopted by a LockstepGroup.
+// re-converges within a cycle. Works on serial and sharded kernels.
 func (k *Kernel) WakeAll() {
 	if k.stepping {
 		panic("sim: WakeAll during Step")
-	}
-	if g := k.group; g != nil {
-		g.wakeAll(k)
-		return
 	}
 	for i := range k.active {
 		k.active[i] = 1
@@ -433,9 +412,6 @@ func (k *Kernel) WakeAll() {
 func (k *Kernel) Step() {
 	if k.stepping {
 		panic("sim: Step called reentrantly (observer/epilogue hooks must not step the kernel)")
-	}
-	if k.group != nil {
-		panic("sim: Step on a kernel adopted by a LockstepGroup (step the group, or Release it first)")
 	}
 	k.stepping = true
 	if k.sh != nil {
@@ -493,7 +469,7 @@ func (k *Kernel) stepSerial() {
 		// only arrive from outside the step (injection) or the wheel pop
 		// above (which would have lowered idle), so nothing can need
 		// evaluation mid-step.
-	case k.actWords != nil && (n-k.idle)*sparseRatio <= n:
+	case (n-k.idle)*sparseRatio <= n:
 		k.walkSparse()
 	default:
 		k.walkCompute(false)
@@ -667,9 +643,6 @@ func (k *Kernel) SetOracle(hash func(Handle) uint64) {
 	}
 	if k.sh != nil {
 		panic("sim: SetOracle on a sharded kernel (the oracle is serial-only)")
-	}
-	if k.group != nil {
-		panic("sim: SetOracle on a kernel adopted by a LockstepGroup")
 	}
 	k.oracle = hash
 	if hash != nil && k.oracleH == nil {

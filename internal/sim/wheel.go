@@ -86,7 +86,7 @@ func (w *timingWheel) schedule(at int64, h Handle) {
 // Entries scheduled exactly at now wake for the cycle about to be stepped.
 // Taking the kernel rather than a callback keeps the steady-state step
 // allocation-free (a closure per pop would escape); Wake itself routes to
-// the right path in every execution mode (serial, sharded, adopted).
+// the right path in every execution mode (serial and sharded).
 func (w *timingWheel) popDue(now int64, k *Kernel) {
 	if w.n == 0 || w.next > now {
 		w.base = now

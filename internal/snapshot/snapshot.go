@@ -3,13 +3,12 @@
 // state (router queues and FSMs, interface source queues and reassembly,
 // in-flight packets and flits, link credits, power counters, and the
 // invariant checker's ledger) to a compact binary image, Restore rebuilds a
-// ready-to-step network from one, and Fork deep-copies a warmed network into
-// a lockstep cohort so many rate points can share one warm-up.
+// ready-to-step network from one.
 //
 // Snapshots are deterministic — saving the same network twice, or re-saving
 // a freshly restored one, yields identical bytes — and portable across
 // execution modes: a snapshot taken from a serial run restores into a
-// sharded or batched network (and vice versa) because results are
+// sharded network (and vice versa) because results are
 // bit-identical at every shard count. Non-serializable wiring (probes,
 // checkers, fault injectors, observers) is supplied by the restore
 // configuration, not the image; only structural parameters travel with it.
@@ -20,7 +19,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/batch"
 	"repro/internal/network"
 	"repro/internal/noc"
 	"repro/internal/router"
@@ -149,8 +147,8 @@ func Decode(data []byte, cfg network.Config) (*network.Network, error) {
 // DecodeInto restores a snapshot image into an already constructed network,
 // which must have been built with the image's structural parameters (the
 // header is checked against net.Config()). The harness uses this to restore
-// warm images into cohort members whose execution-mode wiring batch.New has
-// already arranged.
+// warm images into networks whose execution-mode wiring it has already
+// arranged.
 func DecodeInto(data []byte, net *network.Network) error {
 	d := codec.NewDecoder(data)
 	h, err := readHeader(d)
@@ -208,38 +206,4 @@ func RestoreFile(path string, cfg network.Config) (*network.Network, error) {
 		return nil, err
 	}
 	return Decode(data, cfg)
-}
-
-// Fork deep-copies one warmed network into an n-member lockstep cohort: the
-// source is encoded once and decoded into every member, so all members
-// resume from identical warm state and the batched kernel drives them
-// together. mk returns member i's configuration exactly as for batch.New;
-// structural fields are overwritten from the source. The source network is
-// left untouched and usable.
-func Fork(src *network.Network, n int, mk func(i int) network.Config) (*batch.Cohort, error) {
-	data, err := Encode(src)
-	if err != nil {
-		return nil, err
-	}
-	h := headerOf(src.Config())
-	cohort, err := batch.New(n, func(i int) network.Config {
-		cfg := mk(i)
-		h.apply(&cfg)
-		return cfg
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		d := codec.NewDecoder(data)
-		if _, err := readHeader(d); err != nil {
-			cohort.Close()
-			return nil, err
-		}
-		if err := restoreInto(cohort.Net(i), d); err != nil {
-			cohort.Close()
-			return nil, fmt.Errorf("fork member %d: %w", i, err)
-		}
-	}
-	return cohort, nil
 }

@@ -140,55 +140,6 @@ func TestRestoreAcrossShards(t *testing.T) {
 	}
 }
 
-// TestForkMembersMatchSerial pins the warm-start building block: every
-// cohort member forked from a warm network evolves exactly as a standalone
-// restore of the same image does.
-func TestForkMembersMatchSerial(t *testing.T) {
-	const warm, total = 250, 500
-	plan := makeSchedule(0xF00D, 64, 6, total)
-	cfg := network.Config{Arch: router.SpecAccurate, Shards: 1}
-	net := network.New(cfg)
-	defer net.Close()
-	drive(net, plan, 0, warm)
-	img := encodeOrFatal(t, net)
-
-	ref, err := snapshot.Decode(img, cfg)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	defer ref.Close()
-	drive(ref, plan, warm, total)
-	ref.Drain(30000)
-	want := encodeOrFatal(t, ref)
-
-	const members = 3
-	cohort, err := snapshot.Fork(net, members, func(i int) network.Config { return cfg })
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	defer cohort.Close()
-	for c := warm; c < total; c++ {
-		for i := 0; i < members; i++ {
-			for _, s := range plan[c] {
-				cohort.Net(i).Inject(s.src, s.dst, s.length, 0)
-			}
-		}
-		cohort.Step()
-	}
-	cohort.Release()
-	for i := 0; i < members; i++ {
-		m := cohort.Net(i)
-		m.Drain(30000)
-		if got := encodeOrFatal(t, m); !bytes.Equal(want, got) {
-			t.Fatalf("fork member %d diverged from the serial continuation", i)
-		}
-	}
-	// The fork source must be untouched and still usable.
-	if got := encodeOrFatal(t, net); !bytes.Equal(img, got) {
-		t.Fatal("Fork mutated the source network")
-	}
-}
-
 // TestCheckerLedgerTravels pins that an armed checker's oracle state is part
 // of the image: the restored run's finalize sees every in-flight packet the
 // original had, so post-drain reports match.
