@@ -16,6 +16,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/noc"
 	"repro/internal/physical"
+	"repro/internal/probe"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -206,27 +207,44 @@ func BenchmarkNetworkCycleSteady(b *testing.B) {
 				Dir: b.TempDir(), Label: "bench-" + arch.String(),
 				PeriodNs: physical.ClockPeriodNs(arch),
 			})
-			net := network.New(network.Config{Arch: arch, Probe: rec.Probe()})
-			rng := sim.NewRNG(1)
-			topo := net.Topology()
-			for n := 0; n < topo.Nodes(); n++ {
-				for k := 0; k < 4; k++ {
-					dst := noc.NodeID(rng.Intn(topo.Nodes()))
-					if dst != noc.NodeID(n) {
-						net.Inject(noc.NodeID(n), dst, 64, 0)
-					}
-				}
-			}
-			// Warm the arenas and reach a flowing steady state.
-			for i := 0; i < 200; i++ {
-				net.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.Step()
-			}
+			benchSteady(b, arch, rec.Probe())
 		})
+	}
+}
+
+// BenchmarkNetworkCycleSteadyDisarmed is BenchmarkNetworkCycleSteady with
+// no probe at all: the difference between the two is the flight
+// recorder's price per loaded cycle. It too must read 0 allocs/op.
+func BenchmarkNetworkCycleSteadyDisarmed(b *testing.B) {
+	for _, arch := range router.Archs {
+		b.Run(arch.String(), func(b *testing.B) {
+			benchSteady(b, arch, nil)
+		})
+	}
+}
+
+// benchSteady times steady-state cycles of a saturated 8x8 network of arch
+// observed by pr (nil for none).
+func benchSteady(b *testing.B, arch router.Arch, pr *probe.Probe) {
+	net := network.New(network.Config{Arch: arch, Probe: pr})
+	rng := sim.NewRNG(1)
+	topo := net.Topology()
+	for n := 0; n < topo.Nodes(); n++ {
+		for k := 0; k < 4; k++ {
+			dst := noc.NodeID(rng.Intn(topo.Nodes()))
+			if dst != noc.NodeID(n) {
+				net.Inject(noc.NodeID(n), dst, 64, 0)
+			}
+		}
+	}
+	// Warm the arenas and reach a flowing steady state.
+	for i := 0; i < 200; i++ {
+		net.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Step()
 	}
 }
 

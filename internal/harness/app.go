@@ -252,19 +252,18 @@ func RunApp(cfg AppConfig) AppResult {
 	}
 
 	// Telemetry epilogue: fold this replay's datapath events into the live
-	// per-arch counters, and dump the failure window if the checker or the
-	// undrained exit tripped the flight recorder.
+	// per-arch counters, and end the flight recorder's run — it dumps the
+	// failure window if the checker or the undrained exit tripped it, and
+	// releases its ring either way.
 	cfg.Progress.RunDone(cfg.Arch.String(), window)
-	if cfg.Recorder.Triggered() {
-		if _, err := cfg.Recorder.Flush(func(w io.Writer) {
-			for class := 0; class < multi.Classes(); class++ {
-				fmt.Fprintf(w, "class %d ", class)
-				multi.Net(class).WriteDiagnostic(w)
-			}
-			cfg.Check.WriteReport(w)
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "harness:", err)
+	if _, err := cfg.Recorder.Flush(func(w io.Writer) {
+		for class := 0; class < multi.Classes(); class++ {
+			fmt.Fprintf(w, "class %d ", class)
+			multi.Net(class).WriteDiagnostic(w)
 		}
+		cfg.Check.WriteReport(w)
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "harness:", err)
 	}
 	return res
 }
@@ -306,8 +305,8 @@ func RunAppAllArchs(tr *trace.Trace, bufferDepth int, pool *exp.Pool, shards int
 			arch := router.Archs[i]
 			ckptPath, restorePath := ckpt.paths(tr.Workload.Name, arch)
 			return RunApp(AppConfig{Arch: arch, Trace: tr, BufferDepth: bufferDepth, Shards: shards,
-				Progress: tel.Progress,
-				Recorder: tel.recorder(fmt.Sprintf("app-%s-%s", tr.Workload.Name, arch)),
+				Progress:       tel.Progress,
+				Recorder:       tel.recorder(fmt.Sprintf("app-%s-%s", tr.Workload.Name, arch)),
 				CheckpointPath: ckptPath, CheckpointEvery: ckpt.Every, RestorePath: restorePath}), nil
 		})
 	out := map[router.Arch]AppResult{}

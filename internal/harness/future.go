@@ -298,10 +298,8 @@ func RunFuture(cfg FutureConfig) (RunResult, error) {
 	res.EnergyDelay2 = edp2(res.PacketEnergyPJ, res.MeanLatencyNs)
 
 	cfg.Progress.RunDone(cfg.Arch.String(), window)
-	if cfg.Recorder.Triggered() {
-		if _, err := cfg.Recorder.Flush(net.WriteDiagnostic); err != nil {
-			fmt.Fprintln(os.Stderr, "harness:", err)
-		}
+	if _, err := cfg.Recorder.Flush(net.WriteDiagnostic); err != nil {
+		fmt.Fprintln(os.Stderr, "harness:", err)
 	}
 	return res, nil
 }

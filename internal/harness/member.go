@@ -394,26 +394,25 @@ func (m *synthMember) finalize() RunResult {
 	}
 
 	// Telemetry epilogue: fold this run's window events into the live
-	// per-arch counters, and dump the failure window if anything (checker
-	// violation, drain deadlock) tripped the flight recorder.
+	// per-arch counters, and end the flight recorder's run — it dumps the
+	// failure window if anything (checker violation, drain deadlock)
+	// tripped it, and releases its ring either way.
 	cfg.Progress.RunDone(cfg.Arch.String(), m.window)
-	if cfg.Recorder.Triggered() {
-		tracePath, err := cfg.Recorder.Flush(func(w io.Writer) {
-			net.WriteDiagnostic(w)
-			cfg.Check.WriteReport(w)
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "harness:", err)
-		}
-		// Time travel: with periodic checkpoints armed, rewind to the last
-		// checkpoint before the failure window and re-run it with a full
-		// probe, upgrading the bounded ring dump to a complete trace.
-		if replayPath, err := m.timeTravelReplay(tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "harness: time-travel replay:", err)
-		} else if replayPath != "" {
-			slog.Default().Info("time travel: replayed failure window with full probe",
-				"trace", replayPath)
-		}
+	tracePath, err := cfg.Recorder.Flush(func(w io.Writer) {
+		net.WriteDiagnostic(w)
+		cfg.Check.WriteReport(w)
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "harness:", err)
+	}
+	// Time travel: with periodic checkpoints armed, rewind to the last
+	// checkpoint before the failure window and re-run it with a full
+	// probe, upgrading the bounded ring dump to a complete trace.
+	if replayPath, err := m.timeTravelReplay(tracePath); err != nil {
+		fmt.Fprintln(os.Stderr, "harness: time-travel replay:", err)
+	} else if replayPath != "" {
+		slog.Default().Info("time travel: replayed failure window with full probe",
+			"trace", replayPath)
 	}
 	return res
 }

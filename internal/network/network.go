@@ -527,7 +527,10 @@ func New(cfg Config) *Network {
 	if n.rel != nil {
 		n.kernel.AddObserver(n.relTick)
 	}
-	if n.probe != nil {
+	// The probe's observer is its time-series sampler; without one it
+	// would be a per-cycle no-op that also keeps FastForward and SkipIdle
+	// from jumping idle stretches in O(1).
+	if n.probe != nil && n.probe.Sampling() {
 		n.kernel.AddObserver(n.probe.Tick)
 	}
 	if cfg.Observer != nil {

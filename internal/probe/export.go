@@ -3,6 +3,7 @@ package probe
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -32,6 +33,10 @@ func portName(port, ports int) string {
 	}
 	return fmt.Sprintf("L%d", port-4)
 }
+
+// errRingOnly is returned by the per-router metrics exporters on a probe
+// built by NewRing.
+var errRingOnly = errors.New("probe: ring-only probe keeps no per-router metrics")
 
 // niPid offsets core IDs into a distinct Chrome-trace process range so NI
 // tracks do not collide with router tracks.
@@ -101,8 +106,9 @@ func (p *Probe) writeChromeEvents(w io.Writer, header string, events []Event) er
 		return err
 	}
 
-	// Metadata: name the router and NI tracks.
-	for node := range p.routers {
+	// Metadata: name the router and NI tracks, from the attached geometry
+	// (a ring-only probe keeps no per-router metrics to range over).
+	for node := 0; node < p.width*p.height; node++ {
 		x, y := node%max(p.width, 1), node/max(p.width, 1)
 		if err := put(chromeEvent{Name: "process_name", Phase: "M", Pid: node,
 			Args: map[string]any{"name": fmt.Sprintf("router %d (%d,%d)", node, x, y)}}); err != nil {
@@ -251,6 +257,9 @@ func (p *Probe) WriteWaveform(w io.Writer) error {
 // WriteRouterCSV renders the per-router metrics registry as CSV, one row
 // per router, with per-port link flit counts in trailing columns.
 func (p *Probe) WriteRouterCSV(w io.Writer) error {
+	if p.ringOnly {
+		return errRingOnly
+	}
 	bw := bufio.NewWriter(w)
 	header := "node,x,y,traversals,collisions,aborts,decodes,buf_writes,buf_reads,credit_stall_cycles,recovery_cycles,scheduled_cycles,mode_transitions,mean_occupancy"
 	for port := 0; port < p.ports; port++ {
@@ -287,6 +296,9 @@ func (p *Probe) WriteRouterCSV(w io.Writer) error {
 // WriteHeatmapCSV renders the per-node flit-count mesh heatmap: a
 // Height-row, Width-column grid of switch traversal counts (row 0 = y 0).
 func (p *Probe) WriteHeatmapCSV(w io.Writer) error {
+	if p.ringOnly {
+		return errRingOnly
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# flit traversals per router, %dx%d mesh (rows = y)\n", p.width, p.height); err != nil {
 		return err

@@ -18,6 +18,10 @@
 // 0 allocs/op). A Probe itself never allocates per event: the ring buffer is
 // preallocated and wraps, keeping the most recent events.
 //
+// The flight recorder (internal/telemetry) builds its probe with NewRing:
+// the same event ring, without the per-router metrics registry or the
+// per-cycle work that feeds it.
+//
 // A Probe belongs to one stepping goroutine. Runs that execute in parallel
 // (internal/exp pools) must each own a distinct Probe; the event stream of
 // a probed run is a pure function of its configuration, so serialized
@@ -243,6 +247,10 @@ type Probe struct {
 	lastSample Totals
 	lastCycle  int64
 	attached   bool
+	// ringOnly marks a probe built by NewRing: it records the event ring
+	// and totals but no per-router metrics (routers stays nil, and routers
+	// skip the metrics-only occupancy and mode-cycle work).
+	ringOnly bool
 
 	// Shard-child state (see shard.go). parent is non-nil on a child: its
 	// emits divert into shardBuf, tagged with the evaluation-slot key, and
@@ -269,15 +277,38 @@ func New(cfg Config) *Probe {
 	return &Probe{cfg: cfg, ring: make([]Event, size), mask: uint64(size - 1), lastCycle: -1}
 }
 
-// Attach sizes the per-router metrics for a network's geometry. The network
-// calls it during construction; attaching twice (Multi's lockstep physical
-// networks share one probe) keeps the first geometry and merges counts.
+// NewRing builds a ring-only probe: the same event stream into the same
+// ring as New, but no per-router metrics registry, so the per-cycle
+// occupancy and mode-cycle accounting that only the metrics exporters read
+// is never done. This is the flight recorder's probe; WriteRouterCSV and
+// WriteHeatmapCSV report an error on it.
+func NewRing(cfg Config) *Probe {
+	p := New(cfg)
+	p.ringOnly = true
+	return p
+}
+
+// RingOnly reports whether the probe keeps only the event ring (NewRing).
+// Routers skip their metrics-only work when it is true.
+func (p *Probe) RingOnly() bool { return p.ringOnly }
+
+// Sampling reports whether the time-series sampler is armed
+// (Config.SampleEvery > 0), i.e. whether Tick does anything.
+func (p *Probe) Sampling() bool { return p.cfg.SampleEvery > 0 }
+
+// Attach records a network's geometry and sizes the per-router metrics for
+// it (a ring-only probe keeps the geometry alone). The network calls it
+// during construction; attaching twice (Multi's lockstep physical networks
+// share one probe) keeps the first geometry and merges counts.
 func (p *Probe) Attach(width, height, ports, cores, bufferDepth int) {
 	if p.attached {
 		return
 	}
 	p.attached = true
 	p.width, p.height, p.ports, p.cores = width, height, ports, cores
+	if p.ringOnly {
+		return
+	}
 	if bufferDepth <= 0 {
 		bufferDepth = 4
 	}
@@ -356,7 +387,8 @@ func (p *Probe) EventsWindow(start, end int64) []Event {
 	return out
 }
 
-// Routers returns the per-router metrics, indexed by router node ID.
+// Routers returns the per-router metrics, indexed by router node ID (nil
+// on a ring-only probe).
 func (p *Probe) Routers() []RouterMetrics { return p.routers }
 
 // Totals returns whole-run aggregate event counts.
@@ -365,8 +397,8 @@ func (p *Probe) Totals() Totals { return p.totals }
 // Samples returns the time-series snapshots recorded so far.
 func (p *Probe) Samples() []Sample { return p.samples }
 
-// router returns the metrics slot for node, or nil when unattached or out
-// of range (defensive: emits never panic a probed run).
+// router returns the metrics slot for node, or nil when unattached, ring-
+// only, or out of range (defensive: emits never panic a probed run).
 func (p *Probe) router(node int) *RouterMetrics {
 	if node < 0 || node >= len(p.routers) {
 		return nil

@@ -195,3 +195,39 @@ func TestChromeTraceShape(t *testing.T) {
 			sawTraverse, sawNIDecode, sawMode)
 	}
 }
+
+// TestRingOnlyProbe pins NewRing's contract: the attached geometry is kept
+// but no per-router metrics are allocated, metric-only calls are no-ops,
+// shard children inherit the mode, and the metrics exporters refuse rather
+// than render an empty registry as if it were a measurement.
+func TestRingOnlyProbe(t *testing.T) {
+	p := NewRing(Config{RingEvents: 64})
+	p.Attach(2, 2, 5, 4, 4)
+	if !p.RingOnly() || New(Config{}).RingOnly() {
+		t.Fatal("RingOnly does not tell NewRing from New")
+	}
+	if w, h, ports := p.Geometry(); w != 2 || h != 2 || ports != 5 {
+		t.Errorf("Geometry = %d,%d,%d, want 2,2,5", w, h, ports)
+	}
+	if p.Routers() != nil {
+		t.Error("ring-only probe allocated per-router metrics")
+	}
+	p.Traverse(1, 3, 1, 7, 0)
+	p.ModeCycle(0, true)
+	p.Occupancy(0, 3)
+	if p.EventCount() != 1 || p.Totals().Traversals != 1 {
+		t.Errorf("ring-only probe recorded %d events, %d traversals; want 1, 1", p.EventCount(), p.Totals().Traversals)
+	}
+	for _, c := range p.ShardChildren(2) {
+		if !c.RingOnly() {
+			t.Error("shard child of a ring-only probe is not ring-only")
+		}
+	}
+	var buf bytes.Buffer
+	if err := p.WriteRouterCSV(&buf); err == nil {
+		t.Error("WriteRouterCSV on a ring-only probe did not fail")
+	}
+	if err := p.WriteHeatmapCSV(&buf); err == nil {
+		t.Error("WriteHeatmapCSV on a ring-only probe did not fail")
+	}
+}

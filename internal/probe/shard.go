@@ -42,13 +42,13 @@ type taggedEvent struct {
 // them on first use and reusing them on repeat calls (lockstep multi-
 // network setups share one parent and step sequentially, so their kernels
 // may share children too). Call after Attach so children alias the
-// per-router metrics.
+// per-router metrics. Children of a ring-only probe are ring-only too.
 func (p *Probe) ShardChildren(n int) []*Probe {
 	if p.parent != nil {
 		panic("probe: ShardChildren on a shard child")
 	}
 	for len(p.children) < n {
-		p.children = append(p.children, &Probe{parent: p})
+		p.children = append(p.children, &Probe{parent: p, ringOnly: p.ringOnly})
 	}
 	for _, c := range p.children {
 		c.routers = p.routers

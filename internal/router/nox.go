@@ -95,7 +95,8 @@ func (r *noxRouter) receive(p noc.Port, f *noc.Flit, cycle int64) {
 // BufferedFlits returns the flits held in input FIFOs and decode registers.
 func (r *noxRouter) BufferedFlits() int {
 	n := 0
-	for _, ip := range r.in {
+	for i := range r.in {
+		ip := &r.in[i]
 		n += ip.Buffered()
 		if ip.RegisterBusy() {
 			n++
@@ -130,13 +131,13 @@ func (r *noxRouter) PortStates(buf []PortState) []PortState {
 // that re-arm cycle before sleeping, or a post-idle arrival would face
 // stale masks.
 func (r *noxRouter) Quiet() bool {
-	for _, ip := range r.in {
-		if ip.Buffered() != 0 || ip.RegisterBusy() {
+	for i := range r.in {
+		if ip := &r.in[i]; ip.Buffered() != 0 || ip.RegisterBusy() {
 			return false
 		}
 	}
-	for o, ctl := range r.ctl {
-		if r.outLink[o] != nil && !ctl.Idle() {
+	for o := range r.ctl {
+		if r.outLink[o] != nil && !r.ctl[o].Idle() {
 			return false
 		}
 	}
@@ -298,16 +299,29 @@ func (r *noxRouter) Commit(cycle int64) {
 		}
 	}
 	r.outBusy = 0
-	if pr == nil {
+	if pr == nil || pr.RingOnly() {
+		// Only the decided outputs change; walking them in ascending order
+		// emits mode events in the same order as the metered walk below.
 		for m := r.decided; m != 0; m &= m - 1 {
 			o := bits.TrailingZeros32(m)
-			r.ctl[o].Commit()
-			if !r.ctl[o].Idle() {
+			ctl := &r.ctl[o]
+			if pr == nil {
+				ctl.Commit()
+			} else {
+				before := ctl.Mode()
+				ctl.Commit()
+				if after := ctl.Mode(); after != before {
+					pr.ModeChange(cycle, r.node(), o, int(before), int(after))
+				}
+			}
+			if !ctl.Idle() {
 				r.outBusy |= 1 << uint(o)
 			}
 		}
 		return
 	}
+	// A full probe also counts every wired output's mode cycle and the
+	// router's occupancy.
 	for o := noc.Port(0); o < noc.Port(r.ports); o++ {
 		if r.outLink[o] == nil {
 			continue

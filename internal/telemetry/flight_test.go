@@ -119,6 +119,9 @@ func TestFlightRecorderNegativeControl(t *testing.T) {
 	if !bytes.Contains(report, []byte("check violation")) {
 		t.Errorf("report does not name the trigger:\n%s", report)
 	}
+	if !bytes.Contains(report, []byte("(window complete)")) {
+		t.Errorf("report of an unwrapped ring does not call the window complete:\n%s", report)
+	}
 }
 
 // TestFlightRecorderRingWrap drives enough traffic through a deliberately
@@ -204,6 +207,15 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Error("post-wrap dump holds no events")
 	}
+	// The report must say the ring kept only the window's tail.
+	report, err := os.ReadFile(strings.TrimSuffix(path, ".trace.json") + ".report.txt")
+	if err != nil {
+		t.Fatalf("read report: %v", err)
+	}
+	wantRetained := fmt.Sprintf("retained: from cycle %d (TRUNCATED", lo)
+	if !bytes.Contains(report, []byte(wantRetained)) {
+		t.Errorf("report does not flag the truncated window (want %q):\n%s", wantRetained, report)
+	}
 }
 
 // TestFlightRetention pins the dump-directory cap: with Keep=3, flushing
@@ -268,29 +280,108 @@ func TestFlightRetention(t *testing.T) {
 
 // TestRecorderSteadyStateZeroAllocs proves the armed recorder is free on the
 // hot path: stepping a loaded network with the flight ring attached must not
-// allocate. This is the property that justifies arming it by default.
+// allocate, on every architecture. This is the property that justifies
+// arming it by default.
 func TestRecorderSteadyStateZeroAllocs(t *testing.T) {
-	rec := telemetry.NewRecorder(telemetry.RecorderConfig{
-		Dir: t.TempDir(), Label: "allocs", PeriodNs: physical.ClockPeriodNs(router.NoX),
-	})
-	net := network.New(network.Config{Arch: router.NoX, Probe: rec.Probe()})
-	defer net.Close()
+	for _, arch := range router.Archs {
+		t.Run(arch.String(), func(t *testing.T) {
+			rec := telemetry.NewRecorder(telemetry.RecorderConfig{
+				Dir: t.TempDir(), Label: "allocs", PeriodNs: physical.ClockPeriodNs(arch),
+			})
+			net := network.New(network.Config{Arch: arch, Probe: rec.Probe()})
+			defer net.Close()
 
-	rng := sim.NewRNG(1)
-	topo := net.Topology()
-	for n := 0; n < topo.Nodes(); n++ {
-		for k := 0; k < 4; k++ {
-			dst := noc.NodeID(rng.Intn(topo.Nodes()))
-			if dst != noc.NodeID(n) {
-				net.Inject(noc.NodeID(n), dst, 64, 0)
+			rng := sim.NewRNG(1)
+			topo := net.Topology()
+			for n := 0; n < topo.Nodes(); n++ {
+				for k := 0; k < 4; k++ {
+					dst := noc.NodeID(rng.Intn(topo.Nodes()))
+					if dst != noc.NodeID(n) {
+						net.Inject(noc.NodeID(n), dst, 64, 0)
+					}
+				}
+			}
+			// Warm the arenas and reach a flowing steady state.
+			for i := 0; i < 200; i++ {
+				net.Step()
+			}
+			if avg := testing.AllocsPerRun(200, func() { net.Step() }); avg != 0 {
+				t.Errorf("steady-state Step with armed recorder allocates %.2f/op, want 0", avg)
+			}
+		})
+	}
+}
+
+// runRingScenario drives a small mixed-length random workload on a 4x4
+// mesh with the given probe and shard count, and returns the cycle it
+// stopped at. The workload is a pure function of its arguments.
+func runRingScenario(t *testing.T, arch router.Arch, shards int, pr *probe.Probe) int64 {
+	t.Helper()
+	net := network.New(network.Config{Topo: noc.Topology{Width: 4, Height: 4}, Arch: arch, Shards: shards, Probe: pr})
+	defer net.Close()
+	rng := sim.NewRNG(0x71A6)
+	nodes := net.Topology().Nodes()
+	for cyc := 0; cyc < 400; cyc++ {
+		for k := 0; k < 3; k++ {
+			src, dst := noc.NodeID(rng.Intn(nodes)), noc.NodeID(rng.Intn(nodes))
+			if src != dst {
+				net.Inject(src, dst, 1+3*rng.Intn(2), 0)
 			}
 		}
-	}
-	// Warm the arenas and reach a flowing steady state.
-	for i := 0; i < 200; i++ {
 		net.Step()
 	}
-	if avg := testing.AllocsPerRun(200, func() { net.Step() }); avg != 0 {
-		t.Errorf("steady-state Step with armed recorder allocates %.2f/op, want 0", avg)
+	if !net.Drain(5000) {
+		t.Fatalf("%s shards=%d: run did not drain (outstanding %d)", arch, shards, net.Outstanding())
+	}
+	return net.Cycle()
+}
+
+// TestRecorderProbeMatchesFullProbe pins the ring-only recorder probe to
+// the full probe: on every architecture, serial and sharded, the same run
+// must leave the identical event stream in both rings and render a
+// byte-identical window dump. Skipping the per-router metrics must not
+// change a single recorded event, and track naming must not depend on them.
+func TestRecorderProbeMatchesFullProbe(t *testing.T) {
+	for _, arch := range router.Archs {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", arch, shards), func(t *testing.T) {
+				periodNs := physical.ClockPeriodNs(arch)
+				full := probe.New(probe.Config{RingEvents: telemetry.DefaultFlightRing, PeriodNs: periodNs})
+				end := runRingScenario(t, arch, shards, full)
+
+				rec := telemetry.NewRecorder(telemetry.RecorderConfig{Dir: t.TempDir(), Label: "ring-only", PeriodNs: periodNs})
+				ring := rec.Probe()
+				if !ring.RingOnly() || full.RingOnly() {
+					t.Fatalf("RingOnly: recorder probe %v, full probe %v", ring.RingOnly(), full.RingOnly())
+				}
+				if got := runRingScenario(t, arch, shards, ring); got != end {
+					t.Fatalf("recorder run ended at cycle %d, full-probe run at %d", got, end)
+				}
+				if ring.Routers() != nil {
+					t.Error("ring-only probe allocated per-router metrics")
+				}
+
+				want, got := full.Events(), ring.Events()
+				if len(want) == 0 {
+					t.Fatal("full probe recorded no events")
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("event streams diverge: recorder %d events, full probe %d", len(got), len(want))
+				}
+				if ring.Totals() != full.Totals() {
+					t.Errorf("totals diverge: recorder %+v, full probe %+v", ring.Totals(), full.Totals())
+				}
+				var wantDump, gotDump bytes.Buffer
+				if err := full.WriteChromeTraceWindow(&wantDump, 0, end); err != nil {
+					t.Fatal(err)
+				}
+				if err := ring.WriteChromeTraceWindow(&gotDump, 0, end); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotDump.Bytes(), wantDump.Bytes()) {
+					t.Errorf("window dumps diverge: recorder %d bytes, full probe %d bytes", gotDump.Len(), wantDump.Len())
+				}
+			})
+		}
 	}
 }

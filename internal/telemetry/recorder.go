@@ -19,10 +19,13 @@ import (
 // covers when the recorder's config leaves Window zero.
 const DefaultFlightWindow = 4096
 
-// DefaultFlightRing is the recorder's probe ring capacity in events. It is
-// sized for the window: a saturated 8x8 mesh emits a few events per router
-// per cycle only near the hotspot, so 64 Ki events comfortably covers 4 Ki
-// cycles of failure-adjacent traffic while costing ~1.5 MiB once, up front.
+// DefaultFlightRing is the recorder's probe ring capacity in events: 2 MiB
+// of 32-byte events, allocated once, up front. It does not cover the whole
+// window on a busy network: on an 8x8 mesh under uniform traffic at
+// 400-1400 MB/s/node the ring holds only the last ~200-1000 cycles. The dump
+// report names the first retained cycle and flags a truncated window;
+// time-travel replay (harness.SyntheticConfig.ReplayCheckpointEvery)
+// re-runs the whole window with a full-size probe.
 const DefaultFlightRing = 1 << 16
 
 // DefaultFlightKeep is the number of flight dumps retained per directory
@@ -71,12 +74,15 @@ type RecorderConfig struct {
 // (oracle violation, watchdog trip, drain deadlock), snapshots the last W
 // cycles of events to a Perfetto/Chrome trace plus a diagnostic report.
 //
-// The steady-state cost is the probe's ring store per event — no
-// allocations, no locks beyond the probe's own discipline — which is what
-// lets the harness arm it by default. Trigger may be called from shard
-// workers (the checker observer fires under concurrent stepping); it only
-// latches trigger metadata. Flush must be called from the stepping
-// goroutine once stepping has stopped, like every other probe read.
+// Its probe is ring-only (probe.NewRing): no per-router metrics registry
+// and no per-cycle occupancy or mode accounting, so the steady-state cost is
+// the ring store per event alone — no allocations, no locks beyond the
+// probe's own discipline — which is what lets the harness arm it by
+// default. Trigger may be called from shard workers (the checker observer
+// fires under concurrent stepping); it only latches trigger metadata. Flush
+// must be called from the stepping goroutine once stepping has stopped,
+// like every other probe read; it ends the recorder's life and releases
+// the ring whether or not it dumped.
 //
 // A nil *Recorder is a valid disarmed recorder: every method no-ops.
 type Recorder struct {
@@ -128,16 +134,17 @@ func (r *Recorder) SetPeriodNs(ns float64) {
 	r.mu.Unlock()
 }
 
-// Probe returns the recorder's probe, creating it on first use. Wire it as
-// network.Config.Probe; a nil recorder returns a nil (disabled) probe.
+// Probe returns the recorder's ring-only probe, creating it on first use.
+// Wire it as network.Config.Probe; a nil or already flushed recorder
+// returns a nil (disabled) probe.
 func (r *Recorder) Probe() *probe.Probe {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.probe == nil {
-		r.probe = probe.New(probe.Config{RingEvents: r.cfg.RingEvents, PeriodNs: r.cfg.PeriodNs})
+	if r.probe == nil && !r.flushed {
+		r.probe = probe.NewRing(probe.Config{RingEvents: r.cfg.RingEvents, PeriodNs: r.cfg.PeriodNs})
 	}
 	return r.probe
 }
@@ -202,22 +209,29 @@ func (r *Recorder) TracePath() string {
 	return r.tracePath
 }
 
-// Flush writes the failure-window dump if a trigger is latched: a Chrome
-// trace of the last W cycles plus a diagnostic report (trigger metadata,
-// then whatever diag writes — typically network.WriteDiagnostic). It runs at
-// most once per recorder and returns the trace path ("" when not
-// triggered). diag may be nil. Call from the stepping goroutine after
-// stepping has stopped.
+// Flush ends the recorder's run. If a trigger is latched it writes the
+// failure-window dump: a Chrome trace of the last W cycles plus a
+// diagnostic report (trigger metadata, then whatever diag writes —
+// typically network.WriteDiagnostic). Either way it then releases the probe
+// ring, so a finished recorder kept only for Triggered, Window or
+// TracePath pins no ring memory. It runs at most once per recorder and
+// returns the trace path ("" when not triggered). diag may be nil. Call
+// from the stepping goroutine after stepping has stopped.
 func (r *Recorder) Flush(diag func(io.Writer)) (string, error) {
 	if r == nil {
 		return "", nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.triggered || r.flushed || r.probe == nil {
+	if r.flushed {
 		return "", nil
 	}
 	r.flushed = true
+	pr := r.probe
+	r.probe = nil
+	if !r.triggered || pr == nil {
+		return "", nil
+	}
 
 	start := r.cycle - r.cfg.Window + 1
 	if start < 0 {
@@ -235,7 +249,7 @@ func (r *Recorder) Flush(diag func(io.Writer)) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("telemetry: flight dump: %w", err)
 	}
-	werr := r.probe.WriteChromeTraceWindow(tf, start, end)
+	werr := pr.WriteChromeTraceWindow(tf, start, end)
 	if cerr := tf.Close(); werr == nil {
 		werr = cerr
 	}
@@ -250,8 +264,18 @@ func (r *Recorder) Flush(diag func(io.Writer)) (string, error) {
 	fmt.Fprintf(rf, "flight recorder dump\n")
 	fmt.Fprintf(rf, "reason: %s\n", r.reason)
 	fmt.Fprintf(rf, "trigger cycle: %d\n", r.cycle)
+	first, truncated := retainedFrom(pr, start)
 	fmt.Fprintf(rf, "window: [%d, %d] (%d cycles)\n", start, end, end-start+1)
-	fmt.Fprintf(rf, "ring: %d events recorded, %d overwritten\n", r.probe.EventCount(), r.probe.Dropped())
+	switch {
+	case first < 0:
+		fmt.Fprintf(rf, "retained: no events\n")
+	case truncated:
+		fmt.Fprintf(rf, "retained: from cycle %d (TRUNCATED: the ring wrapped inside the window; only its last %d cycles are in the trace)\n",
+			first, end-first+1)
+	default:
+		fmt.Fprintf(rf, "retained: from cycle %d (window complete)\n", first)
+	}
+	fmt.Fprintf(rf, "ring: %d events recorded, %d overwritten\n", pr.EventCount(), pr.Dropped())
 	fmt.Fprintf(rf, "trace: %s\n", tracePath)
 	if diag != nil {
 		fmt.Fprintln(rf)
@@ -273,9 +297,24 @@ func (r *Recorder) Flush(diag func(io.Writer)) (string, error) {
 		"trigger_cycle", r.cycle,
 		"window_start", start,
 		"window_end", end,
+		"first_retained", first,
+		"truncated", truncated,
 		"trace", tracePath,
 		"report", reportPath)
 	return tracePath, nil
+}
+
+// retainedFrom returns the cycle of the oldest event pr still holds (-1
+// when it holds none) and whether the window starting at start is
+// truncated: the ring overwrote events and its oldest survivor is not
+// before the window, so events inside the window may be gone.
+func retainedFrom(pr *probe.Probe, start int64) (first int64, truncated bool) {
+	evs := pr.Events()
+	if len(evs) == 0 {
+		return -1, false
+	}
+	first = evs[0].Cycle
+	return first, pr.Dropped() > 0 && first >= start
 }
 
 // pruneFlightDumps evicts the oldest dump stems in dir beyond keep, never

@@ -206,6 +206,41 @@ func TestRecorderFlushWithoutTrigger(t *testing.T) {
 	}
 }
 
+// TestRecorderFlushReleasesRing pins Flush as the end of a recorder's run:
+// triggered or not, it drops the probe ring, so a finished recorder kept
+// for Triggered, Window or TracePath holds no ring memory, and it never
+// builds a new one afterwards.
+func TestRecorderFlushReleasesRing(t *testing.T) {
+	for _, trigger := range []bool{false, true} {
+		r := NewRecorder(RecorderConfig{Dir: t.TempDir(), Label: "release", Window: 100})
+		if p := r.Probe(); p == nil || !p.RingOnly() {
+			t.Fatalf("trigger=%v: armed recorder probe %v, want a ring-only probe", trigger, p)
+		}
+		if trigger {
+			r.Trigger(50, "release test")
+		}
+		path, err := r.Flush(nil)
+		if err != nil {
+			t.Fatalf("trigger=%v: Flush: %v", trigger, err)
+		}
+		if (path != "") != trigger {
+			t.Errorf("trigger=%v: Flush path %q", trigger, path)
+		}
+		if r.probe != nil {
+			t.Errorf("trigger=%v: Flush kept the probe ring", trigger)
+		}
+		if p := r.Probe(); p != nil {
+			t.Errorf("trigger=%v: flushed recorder built a new probe", trigger)
+		}
+		if r.Triggered() != trigger || r.TracePath() != path {
+			t.Errorf("trigger=%v: after release Triggered=%v TracePath=%q", trigger, r.Triggered(), r.TracePath())
+		}
+		if again, err := r.Flush(nil); again != "" || err != nil {
+			t.Errorf("trigger=%v: second Flush = %q, %v", trigger, again, err)
+		}
+	}
+}
+
 func TestSanitizeLabel(t *testing.T) {
 	for in, want := range map[string]string{
 		"app-blackscholes-NoX": "app-blackscholes-NoX",
